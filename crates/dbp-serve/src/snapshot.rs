@@ -22,7 +22,10 @@
 //! carried as `snap_readmit` lines: restore re-injects each one as a dead
 //! parent row plus a queued retry, so the forthcoming `ItemReadmitted`
 //! names the item's historical external id and the retry fires exactly
-//! when it would have. The recourse ledger (migrations, closures, epochs)
+//! when it would have. A live item that is itself a re-admission carries
+//! its displacement count as `attempt` on its `snap_item` line, so a
+//! crash after the restart backs it off as the next attempt, exactly as
+//! in the uninterrupted run. The recourse ledger (migrations, closures, epochs)
 //! travels in the header; the restore replay itself runs with the budget
 //! disarmed, so replayed placements never open migration epochs.
 //!
@@ -57,6 +60,9 @@ use crate::session::{ServeAlgo, ServeConfig, Session, SessionSink};
 /// Format tag in the header line; bump on schema changes. `dbp2` added
 /// the recourse ledger to the header and the `snap_readmit` lines; `dbp3`
 /// added vector (multi-dimensional) sizes and per-bin `doom` carriage.
+/// The optional `attempt` field on `snap_item` lines came later without a
+/// bump: it is omitted at zero and a missing one reads as zero, so older
+/// `dbp3` snapshots restore exactly as before.
 const MAGIC: &str = "dbp3";
 
 /// Serializes a session. The text round-trips through [`restore`].
@@ -152,20 +158,22 @@ pub fn write_snapshot(session: &Session) -> String {
                 .expect("every resident of an open bin is live");
             let ext = engine.sink().ext_of(row);
             let ext_bin = engine.sink().bin_ext(rec.id);
-            let mut size = String::new();
-            write_raws_json(&mut size, item.size.raws());
-            if item.departure == Time(u64::MAX) {
-                let _ = writeln!(
-                    s,
-                    "{{\"snap_item\":{ext},\"size\":{size},\"bin\":{ext_bin}}}"
-                );
-            } else {
-                let _ = writeln!(
-                    s,
-                    "{{\"snap_item\":{ext},\"dep\":{},\"size\":{size},\"bin\":{ext_bin}}}",
-                    item.departure.0,
-                );
+            let _ = write!(s, "{{\"snap_item\":{ext}");
+            if item.departure != Time(u64::MAX) {
+                let _ = write!(s, ",\"dep\":{}", item.departure.0);
             }
+            s.push_str(",\"size\":");
+            write_raws_json(&mut s, item.size.raws());
+            let _ = write!(s, ",\"bin\":{ext_bin}");
+            // A re-admitted item's displacement count: the next crash
+            // backs it off as the following attempt, so it must survive
+            // the restart. Omitted at zero, which is also what a
+            // missing field reads as.
+            let attempt = engine.attempts(row);
+            if attempt != 0 {
+                let _ = write!(s, ",\"attempt\":{attempt}");
+            }
+            s.push_str("}\n");
             items += 1;
         }
     }
@@ -203,6 +211,10 @@ fn num(pairs: &[(&str, &str)], key: &str) -> Result<u64, String> {
         .map_err(|_| format!("snapshot: `{key}` is not a u64"))
 }
 
+fn num_u32(pairs: &[(&str, &str)], key: &str) -> Result<u32, String> {
+    u32::try_from(num(pairs, key)?).map_err(|_| format!("snapshot: `{key}` overflows u32"))
+}
+
 fn num128(pairs: &[(&str, &str)], key: &str) -> Result<u128, String> {
     get(pairs, key)
         .ok_or_else(|| format!("snapshot: missing `{key}`"))?
@@ -232,7 +244,8 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
     let mut header: Option<Vec<(&str, &str)>> = None;
     // (old id, opened, orig, pending doom)
     let mut bin_lines: Vec<(u32, Time, Time, Option<Time>)> = Vec::new();
-    let mut item_lines: Vec<(u32, Option<Time>, SizeVec, u32)> = Vec::new(); // (ext, dep, size, old bin)
+    // (ext, dep, size, old bin, attempt)
+    let mut item_lines: Vec<(u32, Option<Time>, SizeVec, u32, u32)> = Vec::new();
 
     // readmit tuple: (ext, arrival, displaced_at, at, attempt, departure, size)
     let mut readmit_lines: Vec<(u32, Time, Time, Time, u32, Time, SizeVec)> = Vec::new();
@@ -267,11 +280,16 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
                 Some(_) => Some(Time(num(&pairs, "dep")?)),
                 None => None,
             };
+            let attempt = match get(&pairs, "attempt") {
+                Some(_) => num_u32(&pairs, "attempt")?,
+                None => 0,
+            };
             item_lines.push((
                 u32::try_from(num(&pairs, "snap_item")?).map_err(|_| "item id overflow")?,
                 dep,
                 size_vec(&pairs, "size")?,
                 u32::try_from(num(&pairs, "bin")?).map_err(|_| "bin id overflow")?,
+                attempt,
             ));
         } else if get(&pairs, "snap_readmit").is_some() {
             readmit_lines.push((
@@ -279,7 +297,7 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
                 Time(num(&pairs, "arrival")?),
                 Time(num(&pairs, "displaced_at")?),
                 Time(num(&pairs, "at")?),
-                u32::try_from(num(&pairs, "attempt")?).map_err(|_| "attempt overflow")?,
+                num_u32(&pairs, "attempt")?,
                 Time(num(&pairs, "departure")?),
                 size_vec(&pairs, "size")?,
             ));
@@ -316,7 +334,7 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
     let mut orig_opened = HashMap::new();
     let mut corrections = Area::ZERO;
     let mut exts = VecDeque::with_capacity(item_lines.len());
-    for &(ext, dep, _, old_bin) in &item_lines {
+    for &(ext, dep, _, old_bin, _) in &item_lines {
         let &(opened, orig) = opened_of_old
             .get(&old_bin)
             .ok_or_else(|| format!("snapshot: item {ext} names unknown bin {old_bin}"))?;
@@ -356,7 +374,7 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
     engine
         .try_advance_to(now)
         .map_err(|e| format!("snapshot: clock: {e}"))?;
-    for &(ext, dep, size, _) in &item_lines {
+    for &(ext, dep, size, _, _) in &item_lines {
         let res = match dep {
             Some(dep) => engine.arrive_at(now, dep.since(now), size).map(|_| ()),
             None => engine.arrive_undated(size).map(|_| ()),
@@ -374,6 +392,13 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
     // back into ext order restores the arrival numbering the
     // uninterrupted run used — without it, two items departing on the
     // same tick could leave in the opposite order after a restore.
+    // Row `k` is `item_lines[k]`; its displacement count is set before
+    // the permutation, which carries counts along with their rows.
+    for (row, &(_, _, _, _, attempt)) in item_lines.iter().enumerate() {
+        if attempt != 0 {
+            engine.set_attempts(ItemId(row as u32), attempt);
+        }
+    }
     let mut order: Vec<ItemId> = (0..item_lines.len() as u32).map(ItemId).collect();
     order.sort_by_key(|&ItemId(row)| item_lines[row as usize].0);
     engine.permute_rows(&order);
@@ -462,7 +487,7 @@ pub fn restore(text: &str, cfg: &ServeConfig) -> Result<Session, String> {
         readmissions: num(&header, "readmissions")?,
         dropped: num(&header, "dropped")?,
         degraded_area: Area::from_raw(num128(&header, "degraded_area")?),
-        max_attempts: num(&header, "max_attempts")? as u32,
+        max_attempts: num_u32(&header, "max_attempts")?,
     };
     session.recourse_offset = RecourseReport {
         migrations: num(&header, "migrations")?,

@@ -797,3 +797,126 @@ fn bin_compaction_survives_chaos_and_restarts_bit_identically() {
     );
     assert_eq!(live.effective_metrics(), control.effective_metrics());
 }
+
+/// Feeds one arrival event to `session` and returns its output.
+fn feed_arrival(session: &mut Session, it: &dbp_core::Item) -> String {
+    session.handle(&Request::Event {
+        tenant: None,
+        event: EngineEvent::Arrival {
+            item: ItemId(0),
+            at: it.arrival,
+            size: it.size,
+            departure: Some(it.departure),
+        },
+    });
+    session.take_output()
+}
+
+/// Drains `session` and returns its output.
+fn drain_output(session: &mut Session) -> String {
+    session.handle(&Request::Control {
+        tenant: None,
+        op: Op::Drain,
+    });
+    session.take_output()
+}
+
+/// Seeded crashes, exponential backoff and an epoch recourse budget: the
+/// combination under which a re-admitted item's displacement count
+/// decides how long its next re-admission waits.
+fn attempt_sensitive_config() -> ServeConfig {
+    ServeConfig {
+        algo: "rod:first-fit".to_string(),
+        plan: FailurePlan::seeded(0.6, 9, Dur(100)),
+        retry: RetryPolicy::parse("exp=2").expect("valid policy"),
+        recourse: RecourseBudget::parse("epoch=4").expect("valid budget"),
+        ..ServeConfig::default()
+    }
+}
+
+#[test]
+fn restores_at_every_boundary_keep_readmission_attempts() {
+    // Snapshots once dropped live items' displacement counts: an item
+    // re-admitted once and crashed again after the restart came back as
+    // attempt 1 after 2 ticks instead of attempt 2 after 4, and the two
+    // sessions diverged. This stream diverged that way at the first of
+    // its seven segment boundaries.
+    let inst = random_general(&GeneralConfig::new(6, 1000), 10);
+    let cfg = attempt_sensitive_config();
+    let items = inst.items();
+    let mut control = Session::new("t", &cfg).unwrap();
+    let mut control_echo = String::new();
+    for it in items {
+        control_echo.push_str(&feed_arrival(&mut control, it));
+    }
+    control_echo.push_str(&drain_output(&mut control));
+    assert!(control.effective_resilience().max_attempts >= 2);
+    let mut carried = false;
+    for k in 1..8 {
+        let cut = items.len() * k / 8;
+        let mut live = Session::new("t", &cfg).unwrap();
+        let mut echo = String::new();
+        for it in &items[..cut] {
+            echo.push_str(&feed_arrival(&mut live, it));
+        }
+        let snap = snapshot::write_snapshot(&live);
+        carried |= snap
+            .lines()
+            .any(|l| l.starts_with("{\"snap_item\":") && l.contains("\"attempt\":"));
+        let mut restored = snapshot::restore(&snap, &cfg).expect("snapshot restores");
+        assert!(event_lines(&restored.take_output()).is_empty());
+        for it in &items[cut..] {
+            echo.push_str(&feed_arrival(&mut restored, it));
+        }
+        echo.push_str(&drain_output(&mut restored));
+        assert_eq!(
+            event_lines(&echo),
+            event_lines(&control_echo),
+            "restore at boundary {k} changed the event stream"
+        );
+        assert_eq!(restored.effective_cost(), control.effective_cost());
+        assert_eq!(restored.effective_recourse(), control.effective_recourse());
+        assert_eq!(
+            restored.effective_resilience(),
+            control.effective_resilience()
+        );
+    }
+    assert!(carried, "some snapshot should carry a live item's attempt");
+}
+
+/// A snapshot of a chaos session with at least one re-admitted live item.
+fn snapshot_with_attempts() -> String {
+    let inst = random_general(&GeneralConfig::new(6, 1000), 10);
+    let cfg = attempt_sensitive_config();
+    let mut session = Session::new("t", &cfg).unwrap();
+    for it in inst.items() {
+        feed_arrival(&mut session, it);
+        let snap = snapshot::write_snapshot(&session);
+        if snap.contains(",\"attempt\":") {
+            return snap;
+        }
+    }
+    panic!("no live item was ever re-admitted");
+}
+
+#[test]
+fn tampered_attempt_fields_are_typed_errors() {
+    let snap = snapshot_with_attempts();
+    let cfg = attempt_sensitive_config();
+    assert!(snapshot::restore(&snap, &cfg).is_ok());
+    // The header's ledger maximum, one past u32::MAX.
+    let start = snap.find("\"max_attempts\":").expect("header field") + 15;
+    let end = start + snap[start..].find(',').expect("more header fields");
+    let header = format!("{}4294967296{}", &snap[..start], &snap[end..]);
+    let err = snapshot::restore(&header, &cfg).err().expect("rejected");
+    assert!(err.contains("max_attempts"), "{err}");
+    // A live item's count, one past u32::MAX.
+    let at = snap.find(",\"attempt\":").expect("carried count") + 11;
+    let end = at + snap[at..].find('}').expect("line end");
+    let item = format!("{}4294967296{}", &snap[..at], &snap[end..]);
+    let err = snapshot::restore(&item, &cfg).err().expect("rejected");
+    assert!(err.contains("attempt"), "{err}");
+    // Not a number at all.
+    let garbled = format!("{}-1{}", &snap[..at], &snap[end..]);
+    assert!(snapshot::restore(&garbled, &cfg).is_err());
+}
