@@ -39,6 +39,12 @@ impl<'a> SimView<'a> {
         SimView { now, bins }
     }
 
+    /// The underlying store (for the recourse view's plane queries).
+    #[inline]
+    pub(crate) fn store(&self) -> &'a BinStore {
+        self.bins
+    }
+
     /// The current simulation time (the arriving item's arrival time).
     #[inline]
     pub fn now(&self) -> Time {

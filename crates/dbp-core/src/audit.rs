@@ -933,7 +933,8 @@ mod tests {
                     .open_bins()
                     .min_by_key(|r| (r.load, r.id.0))
                     .map(|r| r.id)?;
-                let (item, size, _) = view.residents(source).into_iter().next()?;
+                let item = view.residents(source).iter().copied().min()?;
+                let size = view.item_size(item)?;
                 let to = sim
                     .open_bins()
                     .find(|r| r.id != source && r.fits(size))
