@@ -43,7 +43,10 @@ fn every_algorithm_survives_bin_compaction() {
         }
         compacted.drain_remaining().unwrap();
 
-        assert!(compactions > 0, "{name}: workload must exercise reclamation");
+        assert!(
+            compactions > 0,
+            "{name}: workload must exercise reclamation"
+        );
         assert_eq!(
             plain.cost_so_far(),
             compacted.cost_so_far(),
